@@ -26,91 +26,67 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-experiment index.
 """
 
-from repro.analysis import (
-    AnalysisReport,
-    Diagnostic,
-    PassDivergenceError,
-    Severity,
-    dependence_report,
-    lint_module,
-    lint_system,
-)
-from repro.build import (
-    Artifact,
-    ArtifactStore,
-    BuildPipeline,
-    ElaboratedDesign,
-    PipelineSpec,
-    build_design,
-    build_module,
-)
-from repro.core.config import DeviceConfig
-from repro.core.compute_unit import ComputeUnit
-from repro.core.cluster import AcceleratorCluster
-from repro.frontend import compile_c
-from repro.hw.default_profile import default_profile
-from repro.exec import (
-    FailureRecord,
-    ParallelSweep,
-    RunCache,
-    SimContext,
-    Simulation,
-    SweepPointError,
-)
-from repro.faults import FaultPlan, SimWatchdog, SimulationHang
-from repro.system.soc import (
-    RunResult,
-    SoC,
-    StandaloneAccelerator,
-    build_soc,
-    run_standalone,
-)
-from repro.serve import JobServer, ServeClient, start_server_thread
-from repro.trace import TraceConfig, TraceHub
-from repro.workloads import all_workload_names, get_workload
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "Diagnostic",
-    "PassDivergenceError",
-    "Severity",
-    "dependence_report",
-    "lint_module",
-    "lint_system",
-    "Artifact",
-    "ArtifactStore",
-    "BuildPipeline",
-    "ElaboratedDesign",
-    "PipelineSpec",
-    "build_design",
-    "build_module",
-    "DeviceConfig",
-    "ComputeUnit",
-    "AcceleratorCluster",
-    "compile_c",
-    "default_profile",
-    "StandaloneAccelerator",
-    "RunResult",
-    "SimContext",
-    "Simulation",
-    "ParallelSweep",
-    "RunCache",
-    "FailureRecord",
-    "SweepPointError",
-    "FaultPlan",
-    "SimWatchdog",
-    "SimulationHang",
-    "SoC",
-    "build_soc",
-    "run_standalone",
-    "JobServer",
-    "ServeClient",
-    "start_server_thread",
-    "TraceConfig",
-    "TraceHub",
-    "get_workload",
-    "all_workload_names",
-    "__version__",
-]
+#: Public name -> defining module.  Each is imported on first access
+#: (PEP 562), so ``import repro`` stays cheap: no numpy, no scheduler,
+#: no server until a caller touches a name that needs them.
+_EXPORTS = {
+    "AnalysisReport": "repro.analysis",
+    "Diagnostic": "repro.analysis",
+    "PassDivergenceError": "repro.analysis",
+    "Severity": "repro.analysis",
+    "dependence_report": "repro.analysis",
+    "lint_module": "repro.analysis",
+    "lint_system": "repro.analysis",
+    "Artifact": "repro.build",
+    "ArtifactStore": "repro.build",
+    "BuildPipeline": "repro.build",
+    "ElaboratedDesign": "repro.build",
+    "PipelineSpec": "repro.build",
+    "build_design": "repro.build",
+    "build_module": "repro.build",
+    "DeviceConfig": "repro.core.config",
+    "ComputeUnit": "repro.core.compute_unit",
+    "AcceleratorCluster": "repro.core.cluster",
+    "compile_c": "repro.frontend",
+    "default_profile": "repro.hw.default_profile",
+    "StandaloneAccelerator": "repro.system.soc",
+    "RunResult": "repro.system.soc",
+    "SimContext": "repro.exec",
+    "Simulation": "repro.exec",
+    "ParallelSweep": "repro.exec",
+    "RunCache": "repro.exec",
+    "FailureRecord": "repro.exec",
+    "SweepPointError": "repro.exec",
+    "FaultPlan": "repro.faults",
+    "SimWatchdog": "repro.faults",
+    "SimulationHang": "repro.faults",
+    "SoC": "repro.system.soc",
+    "build_soc": "repro.system.soc",
+    "run_standalone": "repro.system.soc",
+    "JobServer": "repro.serve",
+    "ServeClient": "repro.serve",
+    "start_server_thread": "repro.serve",
+    "TraceConfig": "repro.trace",
+    "TraceHub": "repro.trace",
+    "get_workload": "repro.workloads",
+    "all_workload_names": "repro.workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

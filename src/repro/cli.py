@@ -40,6 +40,8 @@ import os
 import sys
 from pathlib import Path
 
+from repro.engine import DEFAULT_ENGINE, ENGINES
+
 
 def _parse_fu_limits(entries: list[str]) -> dict[str, int]:
     limits: dict[str, int] = {}
@@ -355,6 +357,15 @@ def _print_injected(context) -> None:
               f"on {record['target']} {detail}")
 
 
+def _print_engine(context) -> None:
+    """The engine that ran, with the reason for any fallback."""
+    used = context.engine_used or ("none (cache hit, no simulation ran)"
+                                   if context.cache_hit else "none")
+    reason = context.fallback_reason
+    print(f"engine          : {used}"
+          + (f" (fallback: {reason})" if reason else ""))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.config import DeviceConfig
     from repro.exec import FailureRecord, RunCache, SimContext
@@ -397,15 +408,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
         failure = FailureRecord.from_exception(exc)
         print(f"workload        : {workload.name} ({workload.description})")
+        _print_engine(context)
         print(f"FAILED          : {failure.summary()} [{failure.reason}]")
         _print_injected(context)
         return 1
     print(f"workload        : {workload.name} ({workload.description})")
-    if args.engine != "dynamic":
-        used = context.engine_used or "none (cache hit, no simulation ran)"
-        reason = context.fallback_reason
-        print(f"engine          : {used}"
-              + (f" (fallback: {reason})" if reason else ""))
+    _print_engine(context)
     if plan:
         print(f"faults injected : {len(plan.events)} event(s) armed "
               "(results bypass the run cache)")
@@ -793,12 +801,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--artifact-dir", metavar="DIR",
                        help="content-addressed build-artifact store "
                             "(kernel compiles are cached across runs)")
-    p_run.add_argument("--engine", choices=["dynamic", "graph", "retime"],
-                       default="dynamic",
-                       help="execution backend: the dynamic event-queue "
-                            "engine, the graph-compiled fast path, or "
-                            "trace-replay re-timing (byte-identical stats; "
-                            "falls back for features it does not model)")
+    p_run.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+                       help="execution backend (default: %(default)s): the "
+                            "graph-compiled fast path, the dynamic "
+                            "event-queue engine ('dynamic' opts out of the "
+                            "fast path), or trace-replay re-timing. Stats "
+                            "are byte-identical; graph and retime fall back "
+                            "to dynamic, with the reason printed, for "
+                            "features they do not model (cache memory, "
+                            "fault injection, livelock watchdogs, "
+                            "sanitizer)")
     p_run.add_argument("--sanitize", action="store_true",
                        help="attach the runtime access sanitizer: vector-"
                             "clock race detection over every attributed "
@@ -833,10 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "points are appended as they finish, and a "
                               "re-run resumes from them instead of "
                               "re-simulating")
-    p_sweep.add_argument("--engine", choices=["dynamic", "graph", "retime"],
-                         default="dynamic",
-                         help="execution backend for every point (see "
-                              "'run --engine')")
+    p_sweep.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+                         help="execution backend for every point "
+                              "(default: %(default)s; see 'run --engine')")
     p_sweep.add_argument("--retime", action=argparse.BooleanOptionalAction,
                          default=False,
                          help="incremental re-simulation: one full graph "
@@ -891,8 +902,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--seed", type=int, default=7)
     p_submit.add_argument("--memory", choices=["spm", "cache", "ideal"],
                           default="spm")
-    p_submit.add_argument("--engine", choices=["dynamic", "graph", "retime"],
-                          default="dynamic")
+    p_submit.add_argument("--engine", choices=ENGINES,
+                          default=DEFAULT_ENGINE,
+                          help="execution backend (default: %(default)s; "
+                               "see 'run --engine')")
     p_submit.add_argument("--func", help="entry function for kernel files")
     p_submit.add_argument("--passes", metavar="SPEC",
                           help="explicit pass pipeline (see 'compile')")

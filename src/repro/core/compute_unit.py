@@ -107,7 +107,8 @@ class ComputeUnit(SimObject):
     def launch_compiled(self, graph, args: list,
                         on_done: Optional[Callable[[], None]] = None,
                         max_ticks: Optional[int] = None,
-                        capture=None, replay=None) -> bool:
+                        capture=None, replay=None,
+                        wall_clock_s: Optional[float] = None) -> bool:
         """Run ``args`` through the graph-compiled backend instead of the
         dynamic engine (`repro.engine`).  Stats, energy, and the DONE /
         interrupt protocol land exactly where :meth:`launch` puts them.
@@ -115,14 +116,16 @@ class ComputeUnit(SimObject):
         the event queue's ``max_tick`` exit).
 
         ``capture``/``replay`` are forwarded to the scheduler for the
-        incremental re-simulation machinery (`repro.engine.retime`)."""
+        incremental re-simulation machinery (`repro.engine.retime`);
+        ``wall_clock_s`` is its host-time deadline (`SimulationHang`)."""
         from repro.engine.scheduler import GraphScheduler
 
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
         scheduler = GraphScheduler(graph, self)
         completed = scheduler.run(args, max_ticks=max_ticks,
-                                  capture=capture, replay=replay)
+                                  capture=capture, replay=replay,
+                                  wall_clock_s=wall_clock_s)
         if completed:
             self.total_busy_cycles += self.engine.total_cycles
             self.comm.mmr.set_done()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
+from repro.engine import DEFAULT_ENGINE
 from repro.exec.cache import RunCache
 from repro.exec.parallel import ParallelSweep, SweepPoint, grid_points
 from repro.workloads.base import Workload
@@ -37,7 +38,7 @@ def sweep(
     watchdog=None,
     artifact_store=None,
     pipeline=None,
-    engine: str = "dynamic",
+    engine: str = DEFAULT_ENGINE,
     retime: bool = False,
     on_point=None,
     checkpoint=None,

@@ -49,18 +49,26 @@ At run end the scheduler writes its counters back into the *same* stat
 objects (`RuntimeEngine`, memctrl, SPM) so `System.dump_stats()`,
 `RunResult`, and the power report are indistinguishable from a dynamic
 run.
+
+A wall-clock deadline (``wall_clock_s``, the graph half of a
+deadline-only `SimWatchdog`) is checked every `DEADLINE_CHECK_CYCLES`
+cycles and raises the same `SimulationHang` ("wallclock") the event
+queue's watchdog would, so a per-point or per-job timeout keeps the
+fast path.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
+import time
 from typing import Optional
 
 from repro.core.runtime import COMMITTED, ISSUED, READY, WAITING, EngineError
 from repro.engine.graph import K_BRANCH, K_COMPUTE, K_LOAD, K_RET, K_STORE, SimGraph
 from repro.ir.semantics import bytes_to_value, value_to_bytes
 from repro.ir.types import FloatType, IntType, PointerType
+from repro.sim.eventq import SimulationHang
 
 # Completion-bucket entry tags.
 _EV_COMMIT = 0  # compute commit
@@ -69,6 +77,11 @@ _EV_IDEAL = 2   # ideal-memory completion (data captured at pump)
 
 _STRUCT_F = struct.Struct("<f")
 _STRUCT_D = struct.Struct("<d")
+
+#: Deadline poll period in simulated cycles (a power of two: the check
+#: is a mask test, and a clock read every 256 cycles costs nothing
+#: measurable).
+DEADLINE_CHECK_CYCLES = 256
 
 
 class GraphScheduler:
@@ -88,9 +101,12 @@ class GraphScheduler:
 
     # ------------------------------------------------------------------
     def run(self, arg_values: list, max_ticks: Optional[int] = None,
-            capture=None, replay=None) -> bool:
+            capture=None, replay=None,
+            wall_clock_s: Optional[float] = None) -> bool:
         """Simulate to completion.  Returns False if ``max_ticks`` cut
         the run short (the caller raises the dynamic engine's error).
+        Raises `SimulationHang` ("wallclock") once the run has taken
+        more than ``wall_clock_s`` seconds of host time.
 
         ``capture`` (a `repro.engine.retime.TraceCapture`) records the
         memory-parameter-independent run content — branch targets,
@@ -120,13 +136,15 @@ class GraphScheduler:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(arg_values, max_ticks, capture, replay)
+            return self._run(arg_values, max_ticks, capture, replay,
+                             wall_clock_s)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
     def _run(self, arg_values: list, max_ticks: Optional[int] = None,
-             capture=None, replay=None) -> bool:
+             capture=None, replay=None,
+             wall_clock_s: Optional[float] = None) -> bool:
         g = self.graph
         engine = self.engine
         memctrl = self.memctrl
@@ -377,6 +395,9 @@ class GraphScheduler:
         reg_energy = engine.register_energy_pj
 
         start_cycle = engine.cur_cycle
+        deadline = (None if wall_clock_s is None
+                    else time.monotonic() + wall_clock_s)
+        deadline_mask = DEADLINE_CHECK_CYCLES - 1
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -579,6 +600,16 @@ class GraphScheduler:
             cycle += 1
             if max_ticks is not None and cycle * period > max_ticks:
                 break
+            if (deadline is not None and not cycle & deadline_mask
+                    and time.monotonic() > deadline):
+                raise SimulationHang(
+                    "wallclock", cycle * period,
+                    [f"{engine_name}: graph engine, {n_committed} "
+                     f"committed, {window} in the window, "
+                     f"{inflight_compute} computing, {outstanding_reads} "
+                     f"read(s) / {outstanding_writes} write(s) outstanding"],
+                    f"exceeded the wall-clock budget of {wall_clock_s}s",
+                )
             # 1. completions scheduled for this cycle fire before the
             #    tick (DEFAULT_PRI < CPU_TICK_PRI), in scheduling order.
             bucket = buckets.pop(cycle, None)

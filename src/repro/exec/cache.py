@@ -111,7 +111,10 @@ class RunCache:
     """Key -> `RunResult` store with hit/miss accounting.
 
     Results are held as their `to_dict` payloads and rehydrated on every
-    `get`, so callers can never mutate a cached entry in place.  With a
+    `get`, so callers can never mutate a cached entry in place.
+    `get_payload` hands out the stored payload itself instead — one copy
+    shared with the cache (the job server's run results), so it is
+    read-only by contract.  With a
     ``path`` the payloads are also written as ``<key>.json`` files and
     found again by later processes.
 
@@ -158,15 +161,22 @@ class RunCache:
         with contextlib.suppress(OSError):
             os.replace(entry, entry.parent / (entry.name + ".corrupt"))
 
-    def get(self, key: str) -> Optional[RunResult]:
+    def get_payload(self, key: str) -> Optional[dict]:
+        """The stored `to_dict` payload (shared: do not mutate), counted
+        as a hit or a miss like `get`."""
         payload = self._load(key)
         if payload is None:
             self.misses += 1
             return None
         self.hits += 1
-        return RunResult.from_dict(payload)
+        return payload
 
-    def put(self, key: str, result: RunResult) -> None:
+    def get(self, key: str) -> Optional[RunResult]:
+        payload = self.get_payload(key)
+        return RunResult.from_dict(payload) if payload is not None else None
+
+    def put(self, key: str, result: RunResult) -> dict:
+        """Store ``result``; returns the stored (shared) payload."""
         payload = result.to_dict()
         self._memory[key] = payload
         if self.path is not None:
@@ -180,6 +190,7 @@ class RunCache:
                    / f"{key}.json.tmp{os.getpid()}.{threading.get_ident()}")
             tmp.write_text(json.dumps(payload, sort_keys=True))
             os.replace(tmp, self.path / f"{key}.json")
+        return payload
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:

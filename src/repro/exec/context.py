@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.build.artifact import Artifact
 from repro.build.store import ArtifactStore
+from repro.engine import DEFAULT_ENGINE
 from repro.exec.cache import RunCache, run_cache_key, split_cache_key
 from repro.faults import FaultInjector, FaultPlan, SimWatchdog, coerce_watchdog
 from repro.ir.module import Module
@@ -111,7 +112,7 @@ class SimContext:
         module: Union[Module, Artifact, None] = None,
         pipeline: Union[str, PipelineSpec, None] = None,
         artifact_store: Optional[ArtifactStore] = None,
-        engine: str = "dynamic",
+        engine: str = DEFAULT_ENGINE,
         **acc_kwargs,
     ) -> None:
         if (workload is None) == (source is None):
@@ -168,8 +169,8 @@ class SimContext:
         self._ran = False
         self.last_result: Optional[RunResult] = None
         #: True when the last `run()` was served from the run cache
-        #: (no simulation happened); consumers like `repro.serve` use
-        #: this to report cache hits per request.
+        #: (no simulation happened); `repro run` uses this to report
+        #: a cache hit on its engine line.
         self.cache_hit = False
         #: Trace-cache outcome of the last `run()` under
         #: ``engine="retime"``: a stored `ScheduleTrace` was found
@@ -360,8 +361,10 @@ class SimContext:
         """Resolve the watchdog spec against the built system.
 
         ``timeout_s`` alone gets a wall-clock-only watchdog (no livelock
-        budget); combined with an explicit watchdog it sets/overrides
-        the wall-clock deadline on it.
+        budget), which keeps the graph engine: its scheduler checks the
+        deadline itself.  Combined with an explicit watchdog it
+        sets/overrides the wall-clock deadline on it, and the livelock
+        budget of that watchdog still needs the dynamic engine.
         """
         watchdog = coerce_watchdog(self.watchdog, system)
         if self.timeout_s is not None:

@@ -42,6 +42,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from repro.engine import DEFAULT_ENGINE
 from repro.exec.cache import RunCache, run_cache_key
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.context import SimContext
@@ -119,7 +120,7 @@ def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
                    trace: Optional[TraceConfig] = None,
                    faults=None, watchdog=None,
                    timeout_s: Optional[float] = None,
-                   module=None, engine: str = "dynamic",
+                   module=None, engine: str = DEFAULT_ENGINE,
                    artifact_store=None) -> dict:
     """Worker body: one full SimContext lifecycle, returned as a payload dict.
 
@@ -204,7 +205,7 @@ class ParallelSweep:
     #: "retime").  Engines are byte-identical, so they share run-cache
     #: entries; points a backend cannot model fall back per-point (see
     #: `repro.engine.resolve_engine`).
-    engine: str = "dynamic"
+    engine: str = DEFAULT_ENGINE
     #: Incremental re-simulation (equivalent to ``engine="retime"``):
     #: points sharing a datapath key (`repro.exec.cache.split_cache_key`)
     #: run one full graph simulation — capturing a `ScheduleTrace` —

@@ -152,23 +152,28 @@ class JobJournal:
         """Write an atomic full-state snapshot and truncate the journal.
 
         Must run on the thread that owns queue mutations (the server's
-        event loop); concurrent progress-event appends from worker
-        threads are safe either way — an event that lands after the
-        snapshot read is already in its job's event list (the list
-        append happens before the journal append), so replaying it on
-        top of the snapshot is an idempotent no-op.
+        event loop).  The snapshot is serialized job by job under the
+        journal lock, so its transient memory is one job's JSON rather
+        than the whole queue's, and a progress event appended by a
+        worker thread meanwhile is either already in its job's event
+        list when that job is written (the list append happens before
+        the journal append) or journaled after the truncation; replaying
+        it on top of the snapshot is an idempotent no-op.
         """
-        snapshot = {
-            "version": JOURNAL_VERSION,
-            "t": round(time.time(), 6),
-            "jobs": [job.to_journal() for job in queue.jobs.values()],
-            "counters": queue.counters(),
-        }
-        blob = json.dumps(snapshot, sort_keys=True, default=str)
+        head = json.dumps({"version": JOURNAL_VERSION,
+                           "t": round(time.time(), 6),
+                           "counters": queue.counters()}, sort_keys=True)
         with self._lock:
             tmp = self.dir / f"{self.SNAPSHOT_NAME}.tmp{os.getpid()}"
             try:
-                tmp.write_text(blob)
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(head[:-1] + ', "jobs": [')
+                    for index, job in enumerate(queue.jobs.values()):
+                        if index:
+                            fh.write(", ")
+                        fh.write(json.dumps(job.to_journal(), sort_keys=True,
+                                            default=str))
+                    fh.write("]}")
                 os.replace(tmp, self.snapshot_path)
                 if self._fh is not None:
                     self._fh.close()

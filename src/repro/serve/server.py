@@ -339,8 +339,7 @@ class JobServer:
                                 **run_spec_kwargs(spec))
         except (SpecError, KeyError, TypeError, ValueError):
             return None  # unkeyable spec: just queue it
-        cached = self.state.run_cache.get(key)
-        return cached.to_dict() if cached is not None else None
+        return self.state.run_cache.get_payload(key)
 
     def _list_jobs(self) -> dict:
         return {"jobs": [job.to_dict(include_result=False)

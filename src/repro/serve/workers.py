@@ -1,12 +1,14 @@
 """Job execution: spec -> simulation, off the event loop.
 
 One function per job kind, all with the same shape
-``(spec, state, publish) -> result dict``:
+``(spec, state, publish) -> (result dict, cache_hit)``:
 
 * ``compile`` — `build_module` through the shared `ArtifactStore`;
   returns the printed IR and the artifact key.
 * ``run`` — one `SimContext` lifecycle through the shared `RunCache`;
-  the result dict is byte-identical to a direct `SimContext.run`.
+  the result dict is byte-identical to a direct `SimContext.run`, and
+  is the cache's own stored payload (one copy, however many jobs hold
+  it).  ``cache_hit`` is True only for runs served from that cache.
 * ``sweep`` — a hardened `ParallelSweep` over a port grid; per-point
   progress (the new ``on_point`` callback) is published to the job's
   event log, which the SSE endpoint streams.  With a ``--state-dir``
@@ -34,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.engine import DEFAULT_ENGINE
 from repro.exec.cache import RunCache, run_cache_key
 from repro.exec.failures import FailureRecord
 from repro.serve.jobs import JOB_KINDS, Job, JobQueue
@@ -137,7 +140,8 @@ def retry_delay(backoff_s: float, attempt: int,
 # ----------------------------------------------------------------------
 # Job bodies
 # ----------------------------------------------------------------------
-def _job_compile(spec: dict, state: "ServerState", publish) -> dict:
+def _job_compile(spec: dict, state: "ServerState",
+                 publish) -> tuple[dict, bool]:
     from repro.build import build_module
     from repro.ir.printer import print_module
 
@@ -156,38 +160,38 @@ def _job_compile(spec: dict, state: "ServerState", publish) -> dict:
         "ir": print_module(artifact.module),
         "artifact_key": artifact.key,
         "store_hit": bool(artifact.meta.get("cached")),
-    }
+    }, False
 
 
-def _job_run(spec: dict, state: "ServerState", publish) -> dict:
+def _job_run(spec: dict, state: "ServerState",
+             publish) -> tuple[dict, bool]:
     from repro.exec.context import SimContext
 
     workload = _spec_workload(spec)
+    # The job, not the context, talks to the run cache: a hit never
+    # pays a compile, and the result it returns is the cache's stored
+    # payload rather than a second serialized copy of it.
     ctx = SimContext(workload, seed=int(spec.get("seed", 7)),
                      verify=bool(spec.get("verify", True)),
-                     cache=state.run_cache,
                      artifact_store=state.artifact_store,
-                     engine=spec.get("engine", "dynamic"),
+                     engine=spec.get("engine", DEFAULT_ENGINE),
                      timeout_s=spec.get("timeout_s"),
                      **run_spec_kwargs(spec))
-    # Probe before building so a cache hit never pays a compile
-    # (`in` is accounting-neutral; `run()` below does the counted get).
-    will_hit = (state.run_cache is not None
-                and ctx.cache_key() in state.run_cache)
-    if not will_hit:
+    key = ctx.cache_key()
+    payload = state.run_cache.get_payload(key)
+    cache_hit = payload is not None
+    if not cache_hit:
         publish("compiling")
         ctx.build()
         ctx.stage()
         publish("running", engine=ctx.engine)
-    result = ctx.run()
-    publish("cache_hit" if ctx.cache_hit else "ran",
-            cycles=result.cycles)
-    payload = result.to_dict()
-    payload["__cache_hit__"] = ctx.cache_hit
-    return payload
+        payload = state.run_cache.put(key, ctx.run())
+    publish("cache_hit" if cache_hit else "ran", cycles=payload["cycles"])
+    return payload, cache_hit
 
 
-def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
+def _job_sweep(spec: dict, state: "ServerState",
+               publish) -> tuple[dict, bool]:
     from repro.core.config import DeviceConfig
     from repro.dse import pareto_front
     from repro.exec.parallel import ParallelSweep
@@ -211,7 +215,7 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
         retries=int(spec.get("retries", 0)),
         retry_backoff_s=float(spec.get("backoff_s", 0.1)),
         artifact_store=state.artifact_store,
-        engine=spec.get("engine", "dynamic"),
+        engine=spec.get("engine", DEFAULT_ENGINE),
         retime=bool(spec.get("retime", False)),
         checkpoint=state.sweep_checkpoint_path(spec),
     )
@@ -244,10 +248,11 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
                          executor.partition_report.diagnostics]
             if executor.partition_report is not None else [],
         }
-    return out
+    return out, False
 
 
-def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
+def _job_analyze(spec: dict, state: "ServerState",
+                 publish) -> tuple[dict, bool]:
     from repro.analysis import AnalysisReport, lint_function
     from repro.analysis.memdep import memdep_diagnostics
     from repro.build import build_module
@@ -260,7 +265,7 @@ def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
 
         publish("linting scenario")
         report = _analyze_scenario(scenario)
-        return json.loads(report.render_json())
+        return json.loads(report.render_json()), False
 
     source = spec.get("source")
     if source:
@@ -283,7 +288,7 @@ def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
             continue
         lint_function(function, module, report=report)
         report.extend(memdep_diagnostics(function))
-    return json.loads(report.render_json())
+    return json.loads(report.render_json()), False
 
 
 _BODIES: dict[str, Callable] = {
@@ -364,8 +369,7 @@ def execute_job(job: Job, state: ServerState) -> tuple[Optional[dict],
         if body is None:
             raise SpecError(f"unknown job kind '{job.kind}' "
                             f"(expected one of {', '.join(JOB_KINDS)})")
-        result = body(job.spec, state, job.publish)
-        cache_hit = bool(result.pop("__cache_hit__", False))
+        result, cache_hit = body(job.spec, state, job.publish)
         return result, None, cache_hit
     except Exception as exc:  # noqa: BLE001 - jobs fail, servers don't
         return None, FailureRecord.from_exception(exc), False

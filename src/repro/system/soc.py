@@ -22,6 +22,7 @@ from repro.core.cluster import AcceleratorCluster
 from repro.core.compute_unit import ComputeUnit
 from repro.core.config import DeviceConfig
 from repro.core.occupancy import OccupancyTracker
+from repro.engine import DEFAULT_ENGINE, ENGINES
 from repro.hw.default_profile import default_profile
 from repro.hw.power import AreaReport, PowerReport
 from repro.hw.profile import HardwareProfile
@@ -111,12 +112,10 @@ class StandaloneAccelerator:
         dram_kwargs: Optional[dict] = None,
         artifact_store=None,
         pipeline=None,
-        engine: str = "dynamic",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
         if memory not in ("spm", "cache", "ideal"):
             raise ValueError(f"unknown memory configuration '{memory}'")
-        from repro.engine import ENGINES
-
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine '{engine}'; valid: {', '.join(ENGINES)}"
@@ -261,7 +260,9 @@ class StandaloneAccelerator:
         :attr:`captured_trace`.  A retime request degrades to a plain
         graph run (with ``fallback_reason`` set) when no usable trace is
         available — and still honours ``capture_trace``, so the caller
-        can capture-on-miss.
+        can capture-on-miss.  A deadline-only ``watchdog`` (no livelock
+        budget) keeps the graph engine, which enforces its
+        ``wall_clock_s`` itself.
         """
         from repro.engine import (
             GraphLoweringError,
@@ -293,9 +294,10 @@ class StandaloneAccelerator:
             replay = schedule_trace if chosen == "retime" else None
             cap = (TraceCapture()
                    if capture_trace and replay is None else None)
-            completed = self.unit.launch_compiled(graph, args,
-                                                  max_ticks=max_ticks,
-                                                  capture=cap, replay=replay)
+            completed = self.unit.launch_compiled(
+                graph, args, max_ticks=max_ticks, capture=cap,
+                replay=replay,
+                wall_clock_s=getattr(watchdog, "wall_clock_s", None))
             if not completed:
                 raise RuntimeError(
                     f"{self.func_name}: simulation ended before kernel "

@@ -163,5 +163,7 @@ def test_sim_contexts_share_artifact_store():
     store = ArtifactStore()
     first = SimContext(workload, artifact_store=store).run()
     second = SimContext(workload, artifact_store=store).run()
-    assert store.hits == 1 and store.misses == 1
+    # Two stages go through the store on the (graph) default engine: the
+    # kernel compile and the graph lowering.  Both hit on the rerun.
+    assert store.hits == 2 and store.misses == 2
     assert second.cycles == first.cycles

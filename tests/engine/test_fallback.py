@@ -1,12 +1,14 @@
 """Fallback rules: a graph request degrades to dynamic — never errors —
 whenever a feature the graph backend does not model is active, and the
-degraded run behaves exactly like an explicit dynamic run."""
+degraded run behaves exactly like an explicit dynamic run.  A deadline
+alone is modelled: the graph scheduler raises the wall-clock hang."""
 
 import json
 
 import pytest
 
 from repro.exec.context import SimContext
+from repro.faults import SimulationHang
 from repro.workloads import get_workload
 
 
@@ -30,12 +32,35 @@ def test_watchdog_falls_back():
     assert "watchdog" in ctx.fallback_reason
 
 
-def test_timeout_falls_back():
-    # timeout_s is implemented as a wall-clock watchdog.
+def test_timeout_keeps_graph_engine():
+    # timeout_s alone is a deadline-only watchdog: the graph scheduler
+    # enforces it, so a deadline does not cost the fast path.
     ctx = _graph_ctx(timeout_s=60.0)
     ctx.run()
+    assert ctx.engine_used == "graph"
+    assert ctx.fallback_reason is None
+
+
+def test_timeout_with_livelock_watchdog_falls_back():
+    ctx = _graph_ctx(watchdog=True, timeout_s=60.0)
+    ctx.run()
     assert ctx.engine_used == "dynamic"
-    assert "watchdog" in ctx.fallback_reason
+    assert "livelock watchdog" in ctx.fallback_reason
+
+
+def test_graph_deadline_raises_wallclock_hang():
+    ctx = _graph_ctx(timeout_s=0.0)
+    with pytest.raises(SimulationHang) as excinfo:
+        ctx.run()
+    assert excinfo.value.reason == "wallclock"
+    assert "graph engine" in excinfo.value.inflight[0]
+    assert ctx.engine_used == "graph"
+
+
+def test_deadline_run_identical_to_plain_graph_run():
+    timed = _graph_ctx(timeout_s=60.0).run()
+    plain = _graph_ctx().run()
+    assert json.dumps(timed.to_dict()) == json.dumps(plain.to_dict())
 
 
 def test_max_events_budget_falls_back():

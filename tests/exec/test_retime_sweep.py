@@ -11,6 +11,7 @@ import json
 
 from repro.core.config import DeviceConfig
 from repro.dse import sweep
+from repro.engine import DEFAULT_ENGINE
 from repro.exec.parallel import ParallelSweep
 from repro.workloads import get_workload
 
@@ -63,7 +64,7 @@ def test_record_carries_stable_provenance_columns():
     plain = ParallelSweep(verify=False).run(
         GEMM_DSE, {"ports": [2]}, _configure)
     row = plain[0].record()
-    assert row["engine_used"] == "dynamic"
+    assert row["engine_used"] == DEFAULT_ENGINE
     assert row["retimed"] is False
 
 

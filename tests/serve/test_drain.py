@@ -25,7 +25,7 @@ def gated_analyze(monkeypatch):
     def slow_body(spec, state, publish):
         started.set()
         assert release.wait(timeout=30), "test forgot to release the job"
-        return {"slow": True}
+        return {"slow": True}, False
 
     monkeypatch.setitem(_BODIES, "analyze", slow_body)
     yield started, release
