@@ -66,7 +66,6 @@ _EXPORTS = {
     "SimulationHang": "repro.faults",
     "SoC": "repro.system.soc",
     "build_soc": "repro.system.soc",
-    "run_standalone": "repro.system.soc",
     "JobServer": "repro.serve",
     "ServeClient": "repro.serve",
     "start_server_thread": "repro.serve",

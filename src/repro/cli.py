@@ -40,24 +40,9 @@ import os
 import sys
 from pathlib import Path
 
-from repro.engine import DEFAULT_ENGINE, ENGINES
-
-
-def _parse_fu_limits(entries: list[str]) -> dict[str, int]:
-    limits: dict[str, int] = {}
-    for entry in entries or []:
-        name, __, count = entry.partition("=")
-        if not count.isdigit():
-            raise SystemExit(f"bad --fu-limit '{entry}' (expected CLASS=N)")
-        limits[name] = int(count)
-    return limits
-
-
-def _read_source(path: str) -> str:
-    source_path = Path(path)
-    if not source_path.exists():
-        raise SystemExit(f"no such file: {path}")
-    return source_path.read_text()
+from repro import api
+from repro.api import DEFAULTS, MEMORY_KINDS
+from repro.engine import ENGINES
 
 
 def _artifact_store(args):
@@ -73,19 +58,15 @@ def _artifact_store(args):
 def _build_kernel(args, store=None):
     """The one compile path behind compile/elaborate: mini-C -> Artifact."""
     from repro.analysis import PassDivergenceError
-    from repro.build import PipelineSpecError, build_module
+    from repro.build import PipelineSpecError
 
+    spec = {"source": api.read_source(args.source), "unroll": args.unroll,
+            "passes": args.passes}
     try:
-        return build_module(
-            _read_source(args.source),
-            "module",
-            pipeline=getattr(args, "passes", None),
-            optimize=not getattr(args, "no_opt", False),
-            opt_level=args.opt_level,
-            unroll_factor=args.unroll,
-            verify_each=getattr(args, "verify_each", False),
-            store=store,
-        )
+        return api.build(spec, store,
+                         optimize=not getattr(args, "no_opt", False),
+                         opt_level=args.opt_level,
+                         verify_each=args.verify_each)
     except PipelineSpecError as err:
         raise SystemExit(f"bad --passes spec: {err}")
     except PassDivergenceError as err:
@@ -121,7 +102,7 @@ def cmd_elaborate(args: argparse.Namespace) -> int:
     store = _artifact_store(args)
     artifact = _build_kernel(args, store)
     func_name = args.func or next(iter(artifact.module.functions))
-    config = DeviceConfig(fu_limits=_parse_fu_limits(args.fu_limit))
+    config = DeviceConfig(fu_limits=api.parse_fu_limits(args.fu_limit))
     design = BuildPipeline().elaborate(artifact, func_name, config=config).payload
     iface = design.iface
     print(f"function        : {func_name}")
@@ -168,116 +149,38 @@ def _extract_embedded_kernels(path: Path) -> list[tuple[str, str]]:
     return found
 
 
-def _analyze_modules(target: str, args, store):
-    """Resolve one ``analyze`` target to ``[(label, Module), ...]``.
-
-    Accepts a bundled workload name, a ``.c`` / ``.ll`` file, or a
-    Python file with embedded kernel strings (the ``examples/``).
-    A `PassDivergenceError` from ``--verify-each`` propagates so the
-    caller can report the offending pass as a diagnostic.
+def _analyze_target(target: str, args, store) -> list:
+    """``analyze`` reports for one target: a bundled workload, a ``.c`` /
+    ``.ll`` file, or a Python file with embedded kernel strings (the
+    ``examples/``).  A `PassDivergenceError` from ``--verify-each``
+    propagates so the caller can report the offending pass.
     """
-    from repro.build import PipelineSpecError, build_module
-    from repro.workloads import all_workload_names, get_workload
+    from repro.workloads import all_workload_names
 
-    build_kwargs = dict(
-        pipeline=args.passes,
-        optimize=not args.no_opt,
-        opt_level=args.opt_level,
-        verify_each=args.verify_each,
-        store=store,
-    )
     path = Path(target)
-    try:
-        if target in all_workload_names():
-            workload = get_workload(target)
-            unroll = (workload.default_unroll if args.unroll is None
-                      else args.unroll)
-            artifact = build_module(workload.source, workload.func_name,
-                                    unroll_factor=unroll, **build_kwargs)
-            return [(target, artifact.module)]
-        if not path.exists():
-            raise SystemExit(
-                f"analyze: '{target}' is neither a bundled workload nor a file"
-            )
-        unroll = 1 if args.unroll is None else args.unroll
-        if path.suffix == ".py":
-            modules = []
-            for label, source in _extract_embedded_kernels(path):
-                try:
-                    artifact = build_module(source, path.stem,
-                                            unroll_factor=unroll,
-                                            **build_kwargs)
-                except Exception:  # noqa: BLE001 - not every string is a kernel
-                    continue
-                modules.append((label, artifact.module))
-            return modules
-        source = path.read_text()
-        if path.suffix == ".ll":
-            from repro.ir.parser import parse_module
+    if target not in all_workload_names() and not path.exists():
+        raise SystemExit(
+            f"analyze: '{target}' is neither a bundled workload nor a file")
+    spec = api.spec_from_args(args, "analyze", target)
+    lint_kwargs = dict(func=args.func, spm_bytes=args.spm_bytes)
+    build_kwargs = dict(optimize=not args.no_opt, opt_level=args.opt_level,
+                        verify_each=args.verify_each)
+    if "workload" in spec or path.suffix not in (".py", ".ll"):
+        return [api.analyze(spec, store, **lint_kwargs, **build_kwargs)]
+    if path.suffix == ".ll":
+        from repro.ir.parser import parse_module
 
-            return [(target, parse_module(source))]
-        artifact = build_module(source, path.stem, unroll_factor=unroll,
-                                **build_kwargs)
-        return [(target, artifact.module)]
-    except PipelineSpecError as err:
-        raise SystemExit(f"bad --passes spec: {err}")
-
-
-def _analyze_one(label: str, module, args):
-    """Full static-analysis report for one compiled module."""
-    from repro.analysis import AnalysisReport, lint_function
-    from repro.analysis.memdep import memdep_diagnostics
-    from repro.analysis.syslint import (
-        MemRegion,
-        SystemDescription,
-        footprints_from_module,
-        lint_system,
-    )
-
-    report = AnalysisReport(subject=label)
-    func_names = [f.name for f in module
-                  if f.blocks and (not args.func or f.name == args.func)]
-    for func_name in func_names:
-        func = module.functions[func_name]
-        lint_function(func, module, report=report)
-        report.extend(memdep_diagnostics(func))
-    if args.spm_bytes:
-        desc = SystemDescription(
-            regions=[MemRegion("spm", "spm", 0x2000_0000, args.spm_bytes)]
-        )
-        for func_name in func_names:
-            desc.kernels.extend(
-                footprints_from_module(module, func_name, region="spm"))
-        report.extend(lint_system(desc))
-    return report
-
-
-def _analyze_scenario(spec_text: str):
-    """System-level (SYS301-306) report for one scenario.
-
-    ``gen:SEED[:racy]`` forms lint the generated scenario *statically*
-    from its plan; named CNN scenarios run once and are linted from the
-    recorded host/accelerator logs.
-    """
-    from repro.system import scenario_gen
-
-    if spec_text.startswith("gen:"):
-        spec = scenario_gen.parse_gen_spec(spec_text)
-        scenario = scenario_gen.build(spec)
-        report = scenario.static_report()
-        report.subject = spec.name
-        return report
-    from repro.system.cnn_scenarios import SCENARIOS
-
-    runner = SCENARIOS.get(spec_text)
-    if runner is None:
-        raise ValueError(
-            f"unknown scenario '{spec_text}' "
-            f"(choose from {', '.join(sorted(SCENARIOS))}, or gen:SEED[:racy])")
-    result = runner()
-    report = result.soc.lint()
-    report.subject = spec_text
-    return report
+        return [api.lint_kernel(target, parse_module(spec["source"]),
+                                **lint_kwargs)]
+    reports = []
+    for label, source in _extract_embedded_kernels(path):
+        try:
+            artifact = api.build(dict(spec, source=source), store,
+                                 **build_kwargs)
+        except Exception:  # noqa: BLE001 - not every string is a kernel
+            continue
+        reports.append(api.lint_kernel(label, artifact.module, **lint_kwargs))
+    return reports
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -287,6 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         PassDivergenceError,
         Severity,
     )
+    from repro.build import PipelineSpecError
     from repro.workloads import all_workload_names
 
     targets = list(args.targets)
@@ -298,14 +202,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "analyze: no targets (pass files/workloads, --scenario, or --all)")
     store = _artifact_store(args)
     reports = []
-    for spec_text in scenarios:
+    for name in scenarios:
         try:
-            reports.append(_analyze_scenario(spec_text))
+            reports.append(api.analyze_scenario(name))
         except ValueError as err:
             raise SystemExit(f"analyze: {err}")
     for target in targets:
         try:
-            resolved = _analyze_modules(target, args, store)
+            found = _analyze_target(target, args, store)
+        except PipelineSpecError as err:
+            raise SystemExit(f"bad --passes spec: {err}")
         except PassDivergenceError as err:
             report = AnalysisReport(subject=target)
             report.add(
@@ -318,11 +224,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
             reports.append(report)
             continue
-        if not resolved:
+        if not found:
             print(f"analyze: no kernels found in '{target}'", file=sys.stderr)
-            continue
-        for label, module in resolved:
-            reports.append(_analyze_one(label, module, args))
+        reports.extend(found)
     merged = AnalysisReport.merged(reports, subject=",".join(scenarios + targets))
     if args.format == "json":
         text = merged.render_json()
@@ -367,21 +271,12 @@ def _print_engine(context) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.core.config import DeviceConfig
     from repro.exec import FailureRecord, RunCache, SimContext
     from repro.faults import FaultConfigError, FaultPlan
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
-    config = DeviceConfig(
-        clock_freq_hz=args.clock_mhz * 1e6,
-        read_ports=args.ports,
-        write_ports=max(1, args.ports // 2),
-        fu_limits=_parse_fu_limits(args.fu_limit),
-    )
-    kwargs = dict(config=config, memory=args.memory, unroll_factor=args.unroll)
-    if args.memory in ("spm", "ideal"):
-        kwargs.update(spm_bytes=1 << 16, spm_read_ports=args.ports)
+    kwargs = api.context_kwargs(api.spec_from_args(args, "run", args.workload))
     cache = RunCache(args.cache_dir) if args.cache_dir else None
     store = _artifact_store(args)
     trace_cfg = None
@@ -457,21 +352,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.config import DeviceConfig
     from repro.dse import format_table, pareto_front
     from repro.exec import ParallelSweep, RunCache
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
-
-    def configure(params):
-        return dict(
-            config=DeviceConfig(read_ports=params["ports"],
-                                write_ports=max(1, params["ports"] // 2)),
-            memory="spm", spm_bytes=1 << 16, spm_read_ports=params["ports"],
-            unroll_factor=args.unroll,
-        )
-
+    grid, configure = api.sweep_grid(
+        api.spec_from_args(args, "sweep", args.workload))
     cache = RunCache(args.cache_dir) if args.cache_dir else None
     store = _artifact_store(args)
     checkpoint = None
@@ -484,8 +371,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              retries=args.retries, strict=args.strict,
                              artifact_store=store, engine=args.engine,
                              retime=args.retime, checkpoint=checkpoint)
-    points = executor.run(workload, {"ports": args.ports}, configure,
-                          seed=args.seed)
+    points = executor.run(workload, grid, configure, seed=args.seed)
     healthy = [point for point in points if point.ok]
     front = pareto_front(healthy, objectives=lambda p: (p.runtime_us, p.power_mw))
     rows = []
@@ -540,51 +426,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec(args: argparse.Namespace) -> dict:
-    """One job spec from the ``repro submit`` arguments."""
-    from repro.workloads import all_workload_names
-
-    spec: dict = {"seed": args.seed, "unroll": args.unroll}
-    target = args.target
-    if args.kind == "analyze" and (
-            target.startswith("gen:")
-            or target in ("private_spm", "shared_spm", "stream")):
-        spec["scenario"] = target
-    elif target in all_workload_names():
-        spec["workload"] = target
-    elif Path(target).exists():
-        spec["source"] = _read_source(target)
-        spec["func"] = args.func or Path(target).stem
-    else:
-        # Let the server report the unknown workload as a job failure.
-        spec["workload"] = target
-    if args.kind in ("run", "sweep"):
-        spec.update(memory=args.memory, engine=args.engine)
-        if args.kind == "run":
-            spec["ports"] = args.ports[0] if args.ports else 2
-        else:
-            spec["ports"] = args.ports or [1, 2, 4, 8]
-    if args.passes:
-        spec["passes"] = args.passes
-    # Per-job durability policy (retry/backoff/timeout), enforced by
-    # the server's worker pool.
-    if args.retries:
-        spec["retries"] = args.retries
-    if args.backoff_s is not None:
-        spec["backoff_s"] = args.backoff_s
-    if args.job_timeout is not None:
-        spec["timeout_s"] = args.job_timeout
-    return spec
-
-
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient, ServeError
     from repro.serve.jobs import JobState
 
     client = ServeClient(host=args.host, port=args.port)
     try:
-        job = client.submit(args.kind, _submit_spec(args),
-                            priority=args.priority)
+        spec = api.spec_from_args(args, args.kind, args.target)
+        job = client.submit(args.kind, spec, priority=args.priority)
         print(f"job             : {job['id']} ({args.kind})")
         if job.get("deduped_of"):
             print(f"dedup           : coalesced onto {job['deduped_of']} "
@@ -684,6 +533,52 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _shared_options() -> dict:
+    """One parent parser per option that several subcommands share."""
+
+    def option(*flags, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    return {
+        "seed": option("--seed", type=int, default=DEFAULTS["seed"]),
+        "engine": option(
+            "--engine", choices=ENGINES, default=DEFAULTS["engine"],
+            help="execution backend (default: %(default)s): the "
+                 "graph-compiled fast path, the dynamic event-queue engine "
+                 "('dynamic' opts out of the fast path), or trace-replay "
+                 "re-timing. Stats are byte-identical; graph and retime "
+                 "fall back to dynamic, with the reason printed, for "
+                 "features they do not model (cache memory, fault "
+                 "injection, livelock watchdogs, sanitizer)"),
+        "memory": option("--memory", choices=MEMORY_KINDS,
+                         default=DEFAULTS["memory"]),
+        "passes": option(
+            "--passes", metavar="SPEC",
+            help="explicit pass pipeline, e.g. 'mem2reg,unroll:4,constfold,"
+                 "dce' or a preset 'o1'/'o2' (overrides --opt-level/"
+                 "--unroll/--no-opt)"),
+        "opt_level": option("--opt-level", type=int, default=1,
+                            choices=[1, 2]),
+        "no_opt": option("--no-opt", action="store_true",
+                         help="skip optimization (emit or lint the raw IR)"),
+        "verify_each": option(
+            "--verify-each", action="store_true",
+            help="differentially verify every pass against the golden "
+                 "interpreter; a miscompiling pass fails the build by name "
+                 "(analyze reports it as a VRF401 error)"),
+        "fu_limit": option("--fu-limit", action="append", metavar="CLASS=N"),
+        "artifact_dir": option(
+            "--artifact-dir", metavar="DIR",
+            help="content-addressed build-artifact store (a kernel is "
+                 "compiled once and hits on reruns)"),
+        "cache_dir": option(
+            "--cache-dir", metavar="DIR",
+            help="content-addressed run cache (reruns are near-free)"),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -693,44 +588,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_options()
 
-    p_compile = sub.add_parser("compile", help="compile mini-C to textual IR")
+    def command(name, options, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, **kwargs,
+                              parents=[shared[o] for o in options.split()])
+
+    build_options = "opt_level passes artifact_dir verify_each"
+    p_compile = command("compile", build_options + " no_opt",
+                        help="compile mini-C to textual IR")
     p_compile.add_argument("source")
     p_compile.add_argument("--output", "-o")
-    p_compile.add_argument("--unroll", type=int, default=1)
-    p_compile.add_argument("--opt-level", type=int, default=1, choices=[1, 2])
-    p_compile.add_argument("--no-opt", action="store_true")
-    p_compile.add_argument("--passes", metavar="SPEC",
-                           help="explicit pass pipeline, e.g. "
-                                "'mem2reg,unroll:4,constfold,dce' or a "
-                                "preset 'o1'/'o2' (overrides --opt-level/"
-                                "--unroll/--no-opt)")
-    p_compile.add_argument("--artifact-dir", metavar="DIR",
-                           help="content-addressed build-artifact store "
-                                "(recompiles of the same kernel are free)")
-    p_compile.add_argument("--verify-each", action="store_true",
-                           help="differentially verify every pass against "
-                                "the golden interpreter; a miscompiling "
-                                "pass fails the build by name")
+    p_compile.add_argument("--unroll", type=int, default=DEFAULTS["unroll"])
     p_compile.set_defaults(handler=cmd_compile)
 
-    p_elab = sub.add_parser("elaborate", help="static datapath report")
+    p_elab = command("elaborate", build_options + " fu_limit",
+                     help="static datapath report")
     p_elab.add_argument("source")
     p_elab.add_argument("--func")
-    p_elab.add_argument("--unroll", type=int, default=1)
-    p_elab.add_argument("--opt-level", type=int, default=1, choices=[1, 2])
-    p_elab.add_argument("--fu-limit", action="append", metavar="CLASS=N")
-    p_elab.add_argument("--passes", metavar="SPEC",
-                        help="explicit pass pipeline (see 'compile --passes')")
-    p_elab.add_argument("--artifact-dir", metavar="DIR",
-                        help="content-addressed build-artifact store")
-    p_elab.add_argument("--verify-each", action="store_true",
-                        help="differentially verify every pass against the "
-                             "golden interpreter (see 'compile --verify-each')")
+    p_elab.add_argument("--unroll", type=int, default=DEFAULTS["unroll"])
     p_elab.set_defaults(handler=cmd_elaborate)
 
-    p_an = sub.add_parser(
-        "analyze",
+    p_an = command(
+        "analyze", build_options + " no_opt",
         help="static analysis: IR lints + dependence report (CI gate)")
     p_an.add_argument("targets", nargs="*",
                       help="workload names, .c kernels, .ll IR files, or "
@@ -741,15 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--unroll", type=int, default=None,
                       help="unroll factor (default: the workload's own "
                            "default, or 1 for files)")
-    p_an.add_argument("--opt-level", type=int, default=1, choices=[1, 2])
-    p_an.add_argument("--no-opt", action="store_true",
-                      help="lint the raw (unoptimized) IR")
-    p_an.add_argument("--passes", metavar="SPEC",
-                      help="explicit pass pipeline (see 'compile --passes')")
-    p_an.add_argument("--verify-each", action="store_true",
-                      help="differentially verify every pass while "
-                           "compiling; a divergent pass becomes a VRF401 "
-                           "error naming the pass")
     p_an.add_argument("--scenario", action="append", metavar="NAME",
                       help="system-level concurrency lint (SYS301-306) of a "
                            "scenario: a CNN integration scenario by name "
@@ -764,23 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the report to FILE instead of stdout")
     p_an.add_argument("--timings", action="store_true",
                       help="include per-rule wall-clock timings (text format)")
-    p_an.add_argument("--artifact-dir", metavar="DIR",
-                      help="content-addressed build-artifact store")
     p_an.set_defaults(handler=cmd_analyze)
 
     p_list = sub.add_parser("workloads", help="list bundled benchmarks")
     p_list.set_defaults(handler=cmd_workloads)
 
-    p_run = sub.add_parser("run", help="simulate a bundled workload")
+    p_run = command("run", "memory seed fu_limit cache_dir artifact_dir engine",
+                    help="simulate a bundled workload")
     p_run.add_argument("workload")
-    p_run.add_argument("--memory", choices=["spm", "cache", "ideal"], default="spm")
-    p_run.add_argument("--ports", type=int, default=2)
-    p_run.add_argument("--unroll", type=int, default=1)
-    p_run.add_argument("--clock-mhz", type=float, default=100.0)
-    p_run.add_argument("--seed", type=int, default=7)
-    p_run.add_argument("--fu-limit", action="append", metavar="CLASS=N")
-    p_run.add_argument("--cache-dir", metavar="DIR",
-                       help="content-addressed run cache (reruns are near-free)")
+    p_run.add_argument("--ports", type=int, default=DEFAULTS["ports"])
+    p_run.add_argument("--unroll", type=int, default=DEFAULTS["unroll"])
+    p_run.add_argument("--clock-mhz", type=float,
+                       default=DEFAULTS["clock_mhz"])
     p_run.add_argument("--trace", metavar="CHANNELS",
                        help="capture a trace of the listed channels "
                             "(comma-separated, or 'all'): compute,mem,dma,"
@@ -798,19 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--point-timeout", type=float, metavar="SECONDS",
                        help="abort the run after this much wall-clock time "
                             "and report the hang instead of spinning")
-    p_run.add_argument("--artifact-dir", metavar="DIR",
-                       help="content-addressed build-artifact store "
-                            "(kernel compiles are cached across runs)")
-    p_run.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
-                       help="execution backend (default: %(default)s): the "
-                            "graph-compiled fast path, the dynamic "
-                            "event-queue engine ('dynamic' opts out of the "
-                            "fast path), or trace-replay re-timing. Stats "
-                            "are byte-identical; graph and retime fall back "
-                            "to dynamic, with the reason printed, for "
-                            "features they do not model (cache memory, "
-                            "fault injection, livelock watchdogs, "
-                            "sanitizer)")
     p_run.add_argument("--sanitize", action="store_true",
                        help="attach the runtime access sanitizer: vector-"
                             "clock race detection over every attributed "
@@ -818,15 +671,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "bypass the run cache)")
     p_run.set_defaults(handler=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="port sweep with Pareto summary")
+    p_sweep = command("sweep", "seed cache_dir artifact_dir engine",
+                      help="port sweep with Pareto summary")
     p_sweep.add_argument("workload")
-    p_sweep.add_argument("--ports", type=int, nargs="+", default=[1, 2, 4, 8])
-    p_sweep.add_argument("--unroll", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=7)
+    p_sweep.add_argument("--ports", type=int, nargs="+",
+                         default=DEFAULTS["sweep_ports"])
+    p_sweep.add_argument("--unroll", type=int, default=DEFAULTS["unroll"])
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="fan the sweep out over N processes")
-    p_sweep.add_argument("--cache-dir", metavar="DIR",
-                         help="content-addressed run cache (reruns are near-free)")
     p_sweep.add_argument("--point-timeout", type=float, metavar="SECONDS",
                          help="per-point wall-clock budget; a point that "
                               "exceeds it becomes a failed row, not a hang")
@@ -836,18 +688,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--strict", action="store_true",
                          help="fail fast on the first failed point instead "
                               "of degrading gracefully")
-    p_sweep.add_argument("--artifact-dir", metavar="DIR",
-                         help="content-addressed build-artifact store; the "
-                              "kernel is compiled once per sweep and hits "
-                              "on reruns")
     p_sweep.add_argument("--checkpoint", metavar="FILE",
                          help="durable sweep checkpoint (JSONL): completed "
                               "points are appended as they finish, and a "
                               "re-run resumes from them instead of "
                               "re-simulating")
-    p_sweep.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
-                         help="execution backend for every point "
-                              "(default: %(default)s; see 'run --engine')")
     p_sweep.add_argument("--retime", action=argparse.BooleanOptionalAction,
                          default=False,
                          help="incremental re-simulation: one full graph "
@@ -856,18 +701,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "trace (byte-identical rows; see DESIGN.md)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the simulation-as-a-service job server")
+    p_serve = command("serve", "cache_dir artifact_dir",
+                      help="run the simulation-as-a-service job server")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8333,
                          help="listen port (0 picks an ephemeral one)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="background executor threads draining the "
                               "job queue")
-    p_serve.add_argument("--cache-dir", metavar="DIR",
-                         help="on-disk run cache shared by every job "
-                              "(in-memory only when omitted)")
     p_serve.add_argument("--state-dir", metavar="DIR",
                          help="durable server state: a write-ahead job "
                               "journal under DIR records every submission "
@@ -879,14 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="graceful-drain budget: how long SIGTERM or "
                               "POST /v1/shutdown?mode=drain waits for "
                               "running jobs before exiting (default 30)")
-    p_serve.add_argument("--artifact-dir", metavar="DIR",
-                         help="on-disk build-artifact store shared by "
-                              "every job")
     p_serve.set_defaults(handler=cmd_serve)
 
-    p_submit = sub.add_parser(
-        "submit",
-        help="submit a job to a running `repro serve` instance")
+    p_submit = command("submit", "seed memory engine passes",
+                       help="submit a job to a running `repro serve` instance")
     p_submit.add_argument("kind", choices=["compile", "run", "sweep",
                                            "analyze"])
     p_submit.add_argument("target",
@@ -898,17 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--ports", type=int, nargs="+",
                           help="read ports (run uses the first value, "
                                "sweep runs the whole list)")
-    p_submit.add_argument("--unroll", type=int, default=1)
-    p_submit.add_argument("--seed", type=int, default=7)
-    p_submit.add_argument("--memory", choices=["spm", "cache", "ideal"],
-                          default="spm")
-    p_submit.add_argument("--engine", choices=ENGINES,
-                          default=DEFAULT_ENGINE,
-                          help="execution backend (default: %(default)s; "
-                               "see 'run --engine')")
+    p_submit.add_argument("--unroll", type=int, default=None,
+                          help="unroll factor (default: 1, or the "
+                               "workload's own default for analyze)")
     p_submit.add_argument("--func", help="entry function for kernel files")
-    p_submit.add_argument("--passes", metavar="SPEC",
-                          help="explicit pass pipeline (see 'compile')")
     p_submit.add_argument("--retries", type=int, default=0,
                           help="per-job retry budget: the server re-queues "
                                "a failed attempt up to N times with "
@@ -933,14 +763,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seconds to wait for completion")
     p_submit.set_defaults(handler=cmd_submit)
 
-    p_bench = sub.add_parser(
-        "bench",
+    p_bench = command(
+        "bench", "seed",
         help="benchmark the graph engine against the dynamic engine")
     p_bench.add_argument("--workloads", nargs="+", metavar="NAME",
                          help="workloads to measure (default: gemm "
                               "stencil3d fft spmv)")
     p_bench.add_argument("--unroll", type=int, default=4)
-    p_bench.add_argument("--seed", type=int, default=7)
     p_bench.add_argument("--quick", action="store_true",
                          help="smoke mode: only the first workload (CI)")
     p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
@@ -950,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="where to write the JSON record "
                               "(default: BENCH_9.json)")
     p_bench.add_argument("--sweep-ports", type=int, nargs="*",
-                         default=[1, 2, 4, 8], metavar="P",
+                         default=DEFAULTS["sweep_ports"], metavar="P",
                          help="memory-only port grid for the incremental "
                               "re-simulation sweep bench (no values "
                               "disables it)")

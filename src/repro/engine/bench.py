@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from repro.api import DEFAULTS, sweep_grid
+
 #: Default benchmark set: the paper's headline kernels, covering dense
 #: compute (gemm), high-fanout stencils (stencil3d), control-heavy
 #: butterflies (fft), and irregular indexed access (spmv).
@@ -74,7 +76,7 @@ def _measure(name: str, unroll: int, seed: int, engine: str,
 def run_bench(
     workloads=None,
     unroll: int = 4,
-    seed: int = 7,
+    seed: int = DEFAULTS["seed"],
     quick: bool = False,
     repeats: int = 3,
     serve_jobs: int = 0,
@@ -135,9 +137,9 @@ def run_bench(
 
 def run_sweep_bench(
     workload: str = "gemm",
-    ports=(1, 2, 4, 8),
+    ports=tuple(DEFAULTS["sweep_ports"]),
     unroll: int = 4,
-    seed: int = 7,
+    seed: int = DEFAULTS["seed"],
 ) -> dict:
     """Sweep-level incremental re-simulation benchmark.
 
@@ -149,20 +151,11 @@ def run_sweep_bench(
     the aggregate wall-clock ratio of the baseline sweeps over the
     retimed one.
     """
-    from repro.core.config import DeviceConfig
     from repro.exec.parallel import ParallelSweep
     from repro.workloads import get_workload
 
     wl = get_workload(workload)
-    grid = {"ports": [int(p) for p in ports]}
-
-    def configure(params):
-        p = params["ports"]
-        return dict(
-            config=DeviceConfig(read_ports=p, write_ports=max(1, p // 2)),
-            memory="spm", spm_bytes=1 << 16, spm_read_ports=p,
-            unroll_factor=unroll,
-        )
+    grid, configure = sweep_grid({"ports": list(ports), "unroll": unroll})
 
     def timed(engine: str, retime: bool = False):
         sweep = ParallelSweep(verify=False, engine=engine, retime=retime)

@@ -8,36 +8,41 @@ grids).  `repro.dse`, `repro.system`, the CLI, and the benchmarks all
 launch simulations through this layer.
 """
 
-from repro.exec.cache import RunCache, run_cache_key, split_cache_key
-from repro.exec.checkpoint import SweepCheckpoint
-from repro.exec.context import SimContext, Simulation
-from repro.exec.failures import FailureRecord, SweepPointError
-from repro.exec.parallel import ParallelSweep, SweepPoint, grid_points
-from repro.exec.params import (
-    DATAPATH_PARAMS,
-    EXECUTION_PARAMS,
-    MEMORY_PARAMS,
-    classify_param,
-    split_acc_kwargs,
-)
-from repro.system.soc import RunResult
+import importlib
 
-__all__ = [
-    "RunCache",
-    "run_cache_key",
-    "split_cache_key",
-    "DATAPATH_PARAMS",
-    "MEMORY_PARAMS",
-    "EXECUTION_PARAMS",
-    "classify_param",
-    "split_acc_kwargs",
-    "SimContext",
-    "Simulation",
-    "SweepCheckpoint",
-    "FailureRecord",
-    "SweepPointError",
-    "ParallelSweep",
-    "SweepPoint",
-    "grid_points",
-    "RunResult",
-]
+#: Public name -> defining module, each imported on first access
+#: (PEP 562): a single run never loads the sweep machinery.
+_EXPORTS = {
+    "RunCache": "repro.exec.cache",
+    "run_cache_key": "repro.exec.cache",
+    "split_cache_key": "repro.exec.cache",
+    "DATAPATH_PARAMS": "repro.exec.params",
+    "MEMORY_PARAMS": "repro.exec.params",
+    "EXECUTION_PARAMS": "repro.exec.params",
+    "classify_param": "repro.exec.params",
+    "split_acc_kwargs": "repro.exec.params",
+    "SimContext": "repro.exec.context",
+    "Simulation": "repro.exec.context",
+    "SweepCheckpoint": "repro.exec.checkpoint",
+    "FailureRecord": "repro.exec.failures",
+    "SweepPointError": "repro.exec.failures",
+    "ParallelSweep": "repro.exec.parallel",
+    "SweepPoint": "repro.exec.parallel",
+    "grid_points": "repro.exec.parallel",
+    "RunResult": "repro.system.soc",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -23,6 +23,7 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.api import DEFAULTS
 from repro.system.soc import RunResult
 
 
@@ -48,8 +49,8 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def split_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
-                    **acc_kwargs) -> tuple[str, str]:
+def split_cache_key(source, func_name: str, *, seed: int = DEFAULTS["seed"],
+                    pipeline=None, **acc_kwargs) -> tuple[str, str]:
     """The two-level content address ``(datapath_key, memory_key)``.
 
     The datapath key covers everything that shapes the dynamic schedule
@@ -90,8 +91,8 @@ def split_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
     return _digest(datapath_payload), _digest(memory_payload)
 
 
-def run_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
-                  **acc_kwargs) -> str:
+def run_cache_key(source, func_name: str, *, seed: int = DEFAULTS["seed"],
+                  pipeline=None, **acc_kwargs) -> str:
     """Content hash of one simulation configuration.
 
     ``source`` is the kernel (mini-C text, or an IR `Module`, which is

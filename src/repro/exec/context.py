@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from repro.api import DEFAULTS
 from repro.build.artifact import Artifact
 from repro.build.store import ArtifactStore
 from repro.engine import DEFAULT_ENGINE
@@ -96,7 +97,7 @@ class SimContext:
         self,
         workload: Optional[Workload] = None,
         *,
-        seed: int = 7,
+        seed: int = DEFAULTS["seed"],
         verify: bool = True,
         cache: Optional[RunCache] = None,
         max_ticks: Optional[int] = None,

@@ -42,6 +42,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from repro.api import DEFAULTS
 from repro.engine import DEFAULT_ENGINE
 from repro.exec.cache import RunCache, run_cache_key
 from repro.exec.checkpoint import SweepCheckpoint
@@ -228,7 +229,7 @@ class ParallelSweep:
         workload: Workload,
         param_grid: dict[str, Iterable],
         configure: Callable[[dict], dict],
-        seed: int = 7,
+        seed: int = DEFAULTS["seed"],
         unroll_factor: int = 1,
         on_point: Optional[Callable[[int, int, SweepPoint], None]] = None,
     ) -> list[SweepPoint]:

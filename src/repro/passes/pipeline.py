@@ -65,7 +65,7 @@ class PassStep:
 
 
 def _standard_steps(opt_level: int, unroll_factor: int) -> tuple[PassStep, ...]:
-    """The step sequence of `standard_pipeline`, as spec data."""
+    """The step sequence of the ``o1``/``o2`` presets, as spec data."""
     unroll = PassStep("unroll", unroll_factor if unroll_factor != 1 else None)
     steps = [PassStep("inline"), PassStep("mem2reg"),
              PassStep("constfold"), PassStep("dce")]
@@ -95,7 +95,16 @@ class PipelineSpec:
     # -- construction ------------------------------------------------------
     @classmethod
     def standard(cls, opt_level: int = 1, unroll_factor: int = 1) -> "PipelineSpec":
-        """The ``o1``/``o2`` preset with an explicit unroll factor."""
+        """The ``o1``/``o2`` preset with an explicit unroll factor: the
+        default "clang -O" style pipeline used by the frontend.
+
+        Level 1 inlines module-local calls (datapaths must be a single
+        function), builds SSA with mem2reg, cleans up with folding/DCE,
+        unrolls loops (a factor of 1 leaves loops alone but still honours
+        per-loop pragmas), and tidies up with a final fold/DCE/simplify
+        round.  Level 2 adds LICM and CSE, the datapath-shrinking
+        optimizations the pass-ablation benchmark quantifies.
+        """
         if opt_level not in (1, 2):
             raise PipelineSpecError(f"unknown opt level {opt_level} (use 1 or 2)")
         return cls(_standard_steps(opt_level, unroll_factor))
@@ -171,8 +180,7 @@ class PipelineSpec:
         """Instantiate the described passes.
 
         ``inline`` needs the enclosing module for callee lookup; without
-        one it is skipped (matching the historical `standard_pipeline`
-        behaviour for bare-function pipelines).
+        one it is skipped, so bare-function pipelines still run.
 
         With ``verify_each`` set this returns a
         `repro.analysis.verified.VerifiedPassManager` that differentially

@@ -32,7 +32,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import CircuitBreaker, Job, JobQueue, JobState
 from repro.serve.journal import JobJournal, recover_queue
 from repro.serve.server import JobServer, start_server_thread
-from repro.serve.workers import WorkerPool, job_dedup_key, run_spec_kwargs
+from repro.serve.workers import WorkerPool, job_dedup_key
 
 __all__ = [
     "CircuitBreaker",
@@ -46,6 +46,5 @@ __all__ = [
     "WorkerPool",
     "job_dedup_key",
     "recover_queue",
-    "run_spec_kwargs",
     "start_server_thread",
 ]

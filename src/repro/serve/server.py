@@ -54,12 +54,7 @@ from repro.serve.jobs import (
     JobState,
 )
 from repro.serve.journal import JobJournal, recover_queue
-from repro.serve.workers import (
-    ServerState,
-    SpecError,
-    WorkerPool,
-    job_dedup_key,
-)
+from repro.serve.workers import ServerState, WorkerPool, job_dedup_key
 
 _JOB_PATH = re.compile(r"^/v1/jobs/([a-z0-9]+)(/events)?$")
 
@@ -304,8 +299,9 @@ class JobServer:
             job.publish("dedup_fallback", reason=fallback_reasons[0])
         if job.deduped_of is not None:
             return 201, {"job": job.to_dict()}
-        if kind == "run":
-            cached = self._probe_run_cache(spec)
+        if kind == "run" and not fallback_reasons:
+            # Submit-time fast path: an already-cached run completes now.
+            cached = self.state.run_cache.get_payload(key.split(":", 1)[1])
             if cached is not None:
                 self.queue.finish_immediately(job, cached, cache_hit=True)
                 return 201, {"job": job.to_dict()}
@@ -326,20 +322,6 @@ class JobServer:
             )
             self.queue.fail_immediately(job, failure)
         return 201, {"job": job.to_dict()}
-
-    def _probe_run_cache(self, spec: dict) -> Optional[dict]:
-        """Submit-time fast path: an already-cached run completes now."""
-        from repro.exec.cache import run_cache_key
-        from repro.serve.workers import _spec_workload, run_spec_kwargs
-
-        try:
-            workload = _spec_workload(spec)
-            key = run_cache_key(workload.source, workload.func_name,
-                                seed=int(spec.get("seed", 7)),
-                                **run_spec_kwargs(spec))
-        except (SpecError, KeyError, TypeError, ValueError):
-            return None  # unkeyable spec: just queue it
-        return self.state.run_cache.get_payload(key)
 
     def _list_jobs(self) -> dict:
         return {"jobs": [job.to_dict(include_result=False)

@@ -17,6 +17,10 @@ One function per job kind, all with the same shape
   points instead of re-simulating them.
 * ``analyze`` — IR lints + memory-dependence report as JSON.
 
+Every body reads its spec through `repro.api`, the same code behind
+``repro run``/``sweep``/``analyze``, so the CLI and the server agree on
+every default and on every run-cache key.
+
 `WorkerPool` owns N asyncio worker tasks that claim jobs from the
 `JobQueue` and run these bodies in a `ThreadPoolExecutor`, so the
 event loop keeps answering ``/healthz`` (and accepting submissions that
@@ -36,15 +40,20 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.engine import DEFAULT_ENGINE
-from repro.exec.cache import RunCache, run_cache_key
+from repro.api import (
+    DEFAULTS,
+    SpecError,
+    analyze,
+    build,
+    context_kwargs,
+    run_key,
+    spec_seed,
+    spec_workload,
+    sweep_grid,
+)
+from repro.exec.cache import RunCache
 from repro.exec.failures import FailureRecord
 from repro.serve.jobs import JOB_KINDS, Job, JobQueue
-
-
-class SpecError(ValueError):
-    """A job spec the workers cannot execute (client error, HTTP 400)."""
-
 
 #: Ceiling for the per-job exponential retry backoff.
 RETRY_BACKOFF_CAP_S = 30.0
@@ -53,42 +62,6 @@ RETRY_BACKOFF_CAP_S = 30.0
 # ----------------------------------------------------------------------
 # Spec handling
 # ----------------------------------------------------------------------
-def run_spec_kwargs(spec: dict) -> dict:
-    """`StandaloneAccelerator` kwargs for a run/sweep spec.
-
-    Mirrors ``repro run``'s defaults exactly, so a job submitted over
-    HTTP and a CLI run of the same parameters share one run-cache key.
-    """
-    from repro.core.config import DeviceConfig
-
-    ports = int(spec.get("ports", 2))
-    memory = spec.get("memory", "spm")
-    if memory not in ("spm", "cache", "ideal"):
-        raise SpecError(f"bad memory '{memory}' (spm|cache|ideal)")
-    config = DeviceConfig(
-        clock_freq_hz=float(spec.get("clock_mhz", 100.0)) * 1e6,
-        read_ports=ports,
-        write_ports=max(1, ports // 2),
-        fu_limits={str(k): int(v)
-                   for k, v in (spec.get("fu_limits") or {}).items()},
-    )
-    kwargs = dict(config=config, memory=memory,
-                  unroll_factor=int(spec.get("unroll", 1)))
-    if memory in ("spm", "ideal"):
-        kwargs.update(spm_bytes=int(spec.get("spm_bytes", 1 << 16)),
-                      spm_read_ports=ports)
-    return kwargs
-
-
-def _spec_workload(spec: dict):
-    from repro.workloads import get_workload
-
-    name = spec.get("workload")
-    if not name:
-        raise SpecError("spec needs a 'workload' name")
-    return get_workload(name)
-
-
 def job_dedup_key(kind: str, spec: dict,
                   on_fallback: Optional[Callable[[str], None]] = None) -> str:
     """Content-addressed identity of one request.
@@ -105,10 +78,7 @@ def job_dedup_key(kind: str, spec: dict,
     """
     if kind == "run":
         try:
-            workload = _spec_workload(spec)
-            return "run:" + run_cache_key(
-                workload.source, workload.func_name,
-                seed=int(spec.get("seed", 7)), **run_spec_kwargs(spec))
+            return "run:" + run_key(spec)
         except (SpecError, KeyError, TypeError, ValueError) as exc:
             if on_fallback is not None:
                 on_fallback(f"{type(exc).__name__}: {exc}")
@@ -142,20 +112,10 @@ def retry_delay(backoff_s: float, attempt: int,
 # ----------------------------------------------------------------------
 def _job_compile(spec: dict, state: "ServerState",
                  publish) -> tuple[dict, bool]:
-    from repro.build import build_module
     from repro.ir.printer import print_module
 
-    source = spec.get("source")
-    if not source:
-        workload = _spec_workload(spec)
-        source, func = workload.source, workload.func_name
-    else:
-        func = spec.get("func", "module")
     publish("compiling")
-    artifact = build_module(source, func,
-                            pipeline=spec.get("passes"),
-                            unroll_factor=int(spec.get("unroll", 1)),
-                            store=state.artifact_store)
+    artifact = build(spec, state.artifact_store)
     return {
         "ir": print_module(artifact.module),
         "artifact_key": artifact.key,
@@ -167,20 +127,19 @@ def _job_run(spec: dict, state: "ServerState",
              publish) -> tuple[dict, bool]:
     from repro.exec.context import SimContext
 
-    workload = _spec_workload(spec)
     # The job, not the context, talks to the run cache: a hit never
     # pays a compile, and the result it returns is the cache's stored
     # payload rather than a second serialized copy of it.
-    ctx = SimContext(workload, seed=int(spec.get("seed", 7)),
-                     verify=bool(spec.get("verify", True)),
-                     artifact_store=state.artifact_store,
-                     engine=spec.get("engine", DEFAULT_ENGINE),
-                     timeout_s=spec.get("timeout_s"),
-                     **run_spec_kwargs(spec))
-    key = ctx.cache_key()
+    key = run_key(spec)
     payload = state.run_cache.get_payload(key)
     cache_hit = payload is not None
     if not cache_hit:
+        ctx = SimContext(spec_workload(spec), seed=spec_seed(spec),
+                         verify=bool(spec.get("verify", DEFAULTS["verify"])),
+                         artifact_store=state.artifact_store,
+                         engine=spec.get("engine", DEFAULTS["engine"]),
+                         timeout_s=spec.get("timeout_s"),
+                         **context_kwargs(spec))
         publish("compiling")
         ctx.build()
         ctx.stage()
@@ -192,16 +151,11 @@ def _job_run(spec: dict, state: "ServerState",
 
 def _job_sweep(spec: dict, state: "ServerState",
                publish) -> tuple[dict, bool]:
-    from repro.core.config import DeviceConfig
     from repro.dse import pareto_front
     from repro.exec.parallel import ParallelSweep
 
-    workload = _spec_workload(spec)
-    ports = [int(p) for p in spec.get("ports", [1, 2, 4, 8])]
-
-    def configure(params):
-        point_spec = dict(spec, ports=params["ports"])
-        return run_spec_kwargs(point_spec)
+    workload = spec_workload(spec)
+    grid, configure = sweep_grid(spec)
 
     def on_point(done, total, point):
         publish("point", done=done, total=total, params=point.params,
@@ -210,19 +164,17 @@ def _job_sweep(spec: dict, state: "ServerState",
     executor = ParallelSweep(
         workers=int(spec.get("sweep_workers", 1)),
         cache=state.run_cache,
-        verify=bool(spec.get("verify", True)),
+        verify=bool(spec.get("verify", DEFAULTS["verify"])),
         point_timeout=spec.get("point_timeout"),
         retries=int(spec.get("retries", 0)),
         retry_backoff_s=float(spec.get("backoff_s", 0.1)),
         artifact_store=state.artifact_store,
-        engine=spec.get("engine", DEFAULT_ENGINE),
+        engine=spec.get("engine", DEFAULTS["engine"]),
         retime=bool(spec.get("retime", False)),
         checkpoint=state.sweep_checkpoint_path(spec),
     )
     publish("compiling")
-    points = executor.run(workload, {"ports": ports}, configure,
-                          seed=int(spec.get("seed", 7)),
-                          unroll_factor=int(spec.get("unroll", 1)),
+    points = executor.run(workload, grid, configure, seed=spec_seed(spec),
                           on_point=on_point)
     resumed = getattr(executor, "checkpoint_resumed", 0)
     if resumed:
@@ -253,41 +205,10 @@ def _job_sweep(spec: dict, state: "ServerState",
 
 def _job_analyze(spec: dict, state: "ServerState",
                  publish) -> tuple[dict, bool]:
-    from repro.analysis import AnalysisReport, lint_function
-    from repro.analysis.memdep import memdep_diagnostics
-    from repro.build import build_module
-
-    scenario = spec.get("scenario")
-    if scenario:
-        # System-level concurrency lint (SYS301-306) of a scenario, the
-        # same resolution rules as ``repro analyze --scenario``.
-        from repro.cli import _analyze_scenario
-
-        publish("linting scenario")
-        report = _analyze_scenario(scenario)
-        return json.loads(report.render_json()), False
-
-    source = spec.get("source")
-    if source:
-        label = func = spec.get("func", "module")
-        unroll = int(spec.get("unroll", 1))
-    else:
-        workload = _spec_workload(spec)
-        source, func = workload.source, workload.func_name
-        label = workload.name
-        unroll = int(spec.get("unroll", workload.default_unroll))
-    publish("compiling")
-    artifact = build_module(source, func, unroll_factor=unroll,
-                            pipeline=spec.get("passes"),
-                            store=state.artifact_store)
-    module = artifact.module
-    publish("linting")
-    report = AnalysisReport(subject=label)
-    for function in module:
-        if not function.blocks:
-            continue
-        lint_function(function, module, report=report)
-        report.extend(memdep_diagnostics(function))
+    # The same resolution rules as ``repro analyze``: scenarios get the
+    # system-level lints, workloads build at their own default unroll.
+    publish("linting scenario" if spec.get("scenario") else "compiling")
+    report = analyze(spec, state.artifact_store)
     return json.loads(report.render_json()), False
 
 

@@ -169,15 +169,9 @@ def test_wrong_arity_rejected():
     acc = StandaloneAccelerator(VECADD, "vecadd", spm_bytes=1 << 13)
     from repro.core.runtime import EngineError
 
+    assert issubclass(EngineError, RuntimeError)
     with pytest.raises(EngineError):
         acc.unit.engine.start([1, 2])
-
-
-def test_deprecated_error_alias_still_works():
-    from repro.core.runtime import EngineError, RuntimeError_
-
-    assert RuntimeError_ is EngineError
-    assert issubclass(EngineError, RuntimeError)
 
 
 def test_ideal_memory_not_slower_than_spm(rng):

@@ -8,8 +8,7 @@ must be byte-identical to an uninterrupted sweep's.
 import json
 
 from repro.core.config import DeviceConfig
-from repro.dse import sweep
-from repro.exec import ParallelSweep, RunCache, SweepCheckpoint
+from repro.exec import ParallelSweep, RunCache
 from repro.workloads import get_workload
 
 HALF_GRID = {"unroll": [1]}
@@ -148,19 +147,6 @@ def test_checkpoint_feeds_the_cache_on_resume(tmp_path):
     resumed.run(workload, HALF_GRID, _configure, seed=7)
     assert resumed.checkpoint_resumed == 1
     assert len(cache) == 1  # the resumed result was promoted to the cache
-
-
-def test_sweep_shim_forwards_checkpoint(tmp_path):
-    workload = get_workload("gemm_dse")
-    path = tmp_path / "ckpt.jsonl"
-    via_shim = sweep(workload, HALF_GRID, _configure, seed=7,
-                     checkpoint=SweepCheckpoint(path))
-    assert path.exists()
-    again = SweepCheckpoint(path)
-    sweep(workload, HALF_GRID, _configure, seed=7, checkpoint=again)
-    assert again.resumed == 1
-    assert _rows(via_shim) == _rows(
-        ParallelSweep().run(workload, HALF_GRID, _configure, seed=7))
 
 
 def test_on_point_fires_for_resumed_points(tmp_path):

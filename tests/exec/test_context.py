@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import DeviceConfig
 from repro.exec import RunCache, SimContext, Simulation
 from repro.sim.simobject import System
-from repro.system.soc import run_standalone
+from repro.system.soc import StandaloneAccelerator
 from repro.workloads import get_workload
 
 KERNEL = """
@@ -62,7 +62,7 @@ def test_context_explicit_phases():
     assert result.cycles > 0
 
 
-def test_context_source_mode_matches_run_standalone():
+def test_context_source_mode_matches_direct_accelerator():
     def build_args(acc):
         a = acc.alloc_array(np.arange(16.0))
         b = acc.alloc_array(np.ones(16))
@@ -71,9 +71,10 @@ def test_context_source_mode_matches_run_standalone():
 
     ctx = SimContext.from_source(KERNEL, "vecadd", build_args,
                                  memory="spm", spm_bytes=1 << 13)
-    direct = run_standalone(KERNEL, "vecadd", build_args,
-                            memory="spm", spm_bytes=1 << 13)
-    assert ctx.run().cycles == direct.cycles
+    acc = StandaloneAccelerator(KERNEL, "vecadd", memory="spm",
+                                spm_bytes=1 << 13)
+    direct = acc.run(build_args(acc))
+    assert ctx.run().to_dict() == direct.to_dict()
 
 
 def test_context_argument_validation():

@@ -9,7 +9,6 @@ same grid is served entirely from the run cache.
 import json
 
 from repro.core.config import DeviceConfig
-from repro.dse import sweep
 from repro.exec import ParallelSweep, RunCache, grid_points
 from repro.workloads import get_workload
 
@@ -78,15 +77,3 @@ def test_cache_is_config_sensitive():
     # Different seed -> different dataset -> different key.
     executor.run(workload, {"memory": ["spm"], "unroll": [1]}, _configure, seed=8)
     assert cache.hits == 0 and cache.misses == 3
-
-
-def test_sweep_shim_signature_still_works():
-    workload = get_workload("gemm_dse")
-    cache = RunCache()
-    via_shim = sweep(workload, GRID, _configure, seed=7, workers=2, cache=cache)
-    direct = ParallelSweep(workers=1).run(workload, GRID, _configure, seed=7)
-    assert _rows(via_shim) == _rows(direct)
-    record = via_shim[0].record()
-    for key in ("memory", "unroll", "cycles", "runtime_us", "power_mw",
-                "stall_fraction", "issue_fraction"):
-        assert key in record

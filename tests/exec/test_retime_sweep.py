@@ -10,7 +10,7 @@ soundly serve.
 import json
 
 from repro.core.config import DeviceConfig
-from repro.dse import sweep
+import repro.dse
 from repro.engine import DEFAULT_ENGINE
 from repro.exec.parallel import ParallelSweep
 from repro.workloads import get_workload
@@ -113,5 +113,6 @@ def test_partition_report_flags_unclassified_grid_axes():
 
 
 def test_dse_sweep_passes_retime_through():
-    points = sweep(GEMM_DSE, GRID, _configure, verify=False, retime=True)
+    executor = repro.dse.ParallelSweep(verify=False, retime=True)
+    points = executor.run(GEMM_DSE, GRID, _configure)
     assert [p.retimed for p in points] == [False, True, True]

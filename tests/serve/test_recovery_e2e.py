@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import context_kwargs
 from repro.exec.context import SimContext
 from repro.serve import ServeClient
 from repro.serve.jobs import JobState
-from repro.serve.workers import run_spec_kwargs
 from repro.workloads import get_workload
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -74,7 +74,7 @@ def test_sigkill_midjob_restart_completes_byte_identical(dirs):
         assert recovered["attempts"] == 1
         # Byte-identical to an uninterrupted run.
         direct = SimContext(get_workload("gemm_dse"), seed=7,
-                            **run_spec_kwargs(RUN_SPEC)).run()
+                            **context_kwargs(RUN_SPEC)).run()
         assert recovered["result"] == direct.to_dict()
         # The journey is on the job's own (recovered) event log.
         names = [e["event"] for e in

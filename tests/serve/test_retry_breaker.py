@@ -110,12 +110,12 @@ def test_dedup_fallback_covers_malformed_knobs():
 
 
 def test_unexpected_errors_are_not_swallowed(monkeypatch):
-    import repro.serve.workers as workers
+    import repro.api
 
     def explode(spec):
         raise RuntimeError("server bug")
 
-    monkeypatch.setattr(workers, "_spec_workload", explode)
+    monkeypatch.setattr(repro.api, "spec_workload", explode)
     with pytest.raises(RuntimeError):
         job_dedup_key("run", {"workload": "gemm_dse"})
 

@@ -10,11 +10,12 @@ import time
 import pytest
 
 import repro
+from repro.api import context_kwargs
 from repro.exec.context import SimContext
 from repro.exec.parallel import ParallelSweep
 from repro.serve import ServeClient, ServeError, start_server_thread
 from repro.serve.jobs import JobState
-from repro.serve.workers import job_dedup_key, run_spec_kwargs
+from repro.serve.workers import job_dedup_key
 from repro.workloads import get_workload
 
 RUN_SPEC = {"workload": "gemm_dse", "ports": 4, "unroll": 2, "seed": 7}
@@ -43,7 +44,7 @@ def test_run_job_byte_identical_to_direct_simcontext(client):
     assert job["state"] == JobState.DONE
     assert not job["cache_hit"]
     direct = SimContext(get_workload("gemm_dse"), seed=7,
-                        **run_spec_kwargs(RUN_SPEC)).run()
+                        **context_kwargs(RUN_SPEC)).run()
     assert job["result"] == direct.to_dict()
 
 
@@ -113,7 +114,7 @@ def test_sweep_job_matches_direct_parallel_sweep(client):
     rows = job["result"]["rows"]
     direct = ParallelSweep().run(
         get_workload("gemm_dse"), {"ports": [1, 2]},
-        lambda params: run_spec_kwargs(dict(spec, ports=params["ports"])),
+        lambda params: context_kwargs(dict(spec, ports=params["ports"])),
         seed=7, unroll_factor=1)
     assert [dict(r, pareto=None) for r in rows] \
         == [dict(p.record(), pareto=None) for p in direct]

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import repro
 from repro.cli import build_parser
-from repro.dse.sweep import sweep
 from repro.engine import DEFAULT_ENGINE, ENGINES
 from repro.exec.context import SimContext
 from repro.exec.parallel import ParallelSweep, _execute_point
@@ -27,14 +26,28 @@ from repro.workloads import get_workload
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_repro_loads_no_heavy_modules():
-    code = ("import json, sys, repro; print(json.dumps(sorted("
-            "m for m in ('numpy', 'repro.serve', 'repro.analysis', "
-            "'repro.engine') if m in sys.modules)))")
+def _loaded_after(module: str, candidates: tuple) -> list:
+    """Which of ``candidates`` a fresh ``import <module>`` loads."""
+    code = (f"import json, sys, {module}; print(json.dumps(sorted("
+            f"m for m in {candidates!r} if m in sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == []
+    return json.loads(out)
+
+
+def test_import_repro_loads_no_heavy_modules():
+    assert _loaded_after("repro", ("numpy", "repro.serve", "repro.analysis",
+                                   "repro.engine")) == []
+
+
+def test_import_repro_api_loads_no_heavy_modules():
+    assert _loaded_after("repro.api", ("numpy", "repro.serve",
+                                       "repro.analysis")) == []
+
+
+def test_serve_workers_do_not_load_the_cli():
+    assert _loaded_after("repro.serve.workers", ("repro.cli",)) == []
 
 
 def test_every_exported_name_resolves():
@@ -77,7 +90,6 @@ def test_library_entry_points_default_to_the_default_engine():
     assert SimContext(get_workload("gemm_dse")).engine == DEFAULT_ENGINE
     assert ParallelSweep().engine == DEFAULT_ENGINE
     assert _default(_execute_point) == DEFAULT_ENGINE
-    assert _default(sweep) == DEFAULT_ENGINE
     assert _default(StandaloneAccelerator) == DEFAULT_ENGINE
 
 
